@@ -2,20 +2,21 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-repeat race bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
+.PHONY: all check build vet test test-repeat race fleetbench-test bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
 
 all: build vet test
 
 # The full gate: compile, static checks, tests (plus a repeat-count pass
 # over the serving subsystem to catch leaked process-global state), the
 # race detector over the parallel hot paths, a one-iteration pass over
-# every benchmark so the bench code itself cannot rot, the perf-regression
-# diff against the committed baseline, end-to-end smokes of the daemon, of
+# every benchmark so the bench code itself cannot rot, vet and tests of the
+# fleet benchmark module, the perf-regression diff against the committed
+# baseline, end-to-end smokes of the daemon, of
 # the sharded fleet, and of a kill -9/restart over the write-ahead log, a
 # short fuzz pass over the API decoders, the chaos smoke (daemon under
 # injected faults), and the drift smoke (the monitor/retrain/promote loop
 # end to end over HTTP).
-check: build vet test test-repeat race bench-smoke bench-diff serve-smoke fleet-smoke restart-smoke replica-smoke fuzz-smoke chaos-smoke drift-smoke
+check: build vet test test-repeat race bench-smoke fleetbench-test bench-diff serve-smoke fleet-smoke restart-smoke replica-smoke fuzz-smoke chaos-smoke drift-smoke
 
 build:
 	$(GO) build ./...
@@ -40,6 +41,12 @@ race:
 	$(GO) test -race ./internal/parallel/ ./internal/ml/ ./internal/obs/
 	$(GO) test -race -run 'AcrossWorkers|Compiled|Cache' ./internal/core/ ./internal/eval/
 	$(GO) test -race -timeout 30m ./internal/serve/ ./internal/chaos/ ./internal/replica/ ./internal/drift/
+
+# The fleet benchmark is its own Go module (outside ./...) that imports this
+# one; vetting and testing it here makes a refactor that breaks its imports
+# fail the gate.
+fleetbench-test:
+	cd fleetbench && $(GO) vet ./... && $(GO) test ./...
 
 # One benchmark per paper table/figure plus ablations; writes the artifacts
 # the repository documents.

@@ -164,8 +164,8 @@ func runSoak(t *testing.T, cfg soakConfig) soakResult {
 					if sn == nil {
 						continue
 					}
-					if sn.DS.Generation != srv.Store().GenerationOf(sn.Version) {
-						t.Errorf("hammer %d: torn snapshot: generation %d != salted version %d", h, sn.DS.Generation, sn.Version)
+					if sn.DS.Generation != sn.Version {
+						t.Errorf("hammer %d: torn snapshot: generation %d != version %d", h, sn.DS.Generation, sn.Version)
 						return
 					}
 					if err := sn.DS.Grid.Validate(sn.DS.NumLines); err != nil {

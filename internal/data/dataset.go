@@ -42,7 +42,9 @@ type Dataset struct {
 	// Generation distinguishes successive contents of a mutable data source
 	// for feature-cache keying: the serving store stamps each snapshot with
 	// its ingest version, so cached encodes of one generation are never
-	// served against another. Static offline datasets leave it 0.
+	// served against another. Generations are unique only within one store
+	// (two stores both reach version 2), which is why models installed for
+	// serving carry no cache. Static offline datasets leave it 0.
 	Generation uint64
 }
 

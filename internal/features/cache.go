@@ -30,13 +30,12 @@ import (
 // shared, never copied: all consumers treat encoded/binned matrices as
 // immutable after construction. A nil *Cache is valid and disables caching.
 type Cache struct {
-	mu        sync.Mutex
-	max       int
-	vals      map[string]any
-	order     []string // least recently used first
-	hits      int
-	misses    int
-	evictions int
+	mu     sync.Mutex
+	max    int
+	vals   map[string]any
+	order  []string // least recently used first
+	hits   int
+	misses int
 }
 
 // DefaultCacheEntries bounds a cache built with NewCache(0). A full
@@ -61,25 +60,6 @@ func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// CacheStats is the full counter snapshot a monitoring surface exports
-// (the daemon's /debug/vars reports one per process).
-type CacheStats struct {
-	Hits      int `json:"hits"`
-	Misses    int `json:"misses"`
-	Evictions int `json:"evictions"`
-	Entries   int `json:"entries"`
-}
-
-// StatsDetail returns every counter at once; nil caches report zeros.
-func (c *Cache) StatsDetail() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.vals)}
 }
 
 // Len returns the number of live entries.
@@ -125,7 +105,6 @@ func (c *Cache) put(key string, v any) {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		delete(c.vals, oldest)
-		c.evictions++
 	}
 }
 

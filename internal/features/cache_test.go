@@ -44,10 +44,18 @@ func TestCacheLRUBoundAndStats(t *testing.T) {
 		t.Fatalf("Stats = (%d, %d), want (2, 1)", hits, misses)
 	}
 
-	// The detailed stats agree with the legacy pair and count the eviction.
-	d := c.StatsDetail()
-	if d.Hits != 2 || d.Misses != 1 || d.Evictions != 1 || d.Entries != 2 {
-		t.Fatalf("StatsDetail = %+v", d)
+	// Every insertion beyond the bound evicts exactly one entry, the oldest.
+	c3 := NewCache(3)
+	for i := 0; i < 10; i++ {
+		c3.PutBinned(string(rune('a'+i)), &ml.BinnedMatrix{N: i})
+		if want := min(i+1, 3); c3.Len() != want {
+			t.Fatalf("after %d puts Len = %d, want %d", i+1, c3.Len(), want)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok := c3.GetBinned(string(rune('a' + i))); ok != (i >= 7) {
+			t.Fatalf("entry %c present = %v after 10 puts into a 3-entry cache", 'a'+i, ok)
+		}
 	}
 
 	// A nil cache is inert but safe.
@@ -58,25 +66,6 @@ func TestCacheLRUBoundAndStats(t *testing.T) {
 	nc.PutBinned("x", nil)
 	if h, m := nc.Stats(); h != 0 || m != 0 || nc.Len() != 0 {
 		t.Fatal("nil cache tracked state")
-	}
-	if d := nc.StatsDetail(); d != (CacheStats{}) {
-		t.Fatalf("nil cache StatsDetail = %+v", d)
-	}
-}
-
-// TestCacheEvictionCounter: every insertion beyond the bound evicts exactly
-// one entry, and the counter tracks them.
-func TestCacheEvictionCounter(t *testing.T) {
-	c := NewCache(3)
-	for i := 0; i < 10; i++ {
-		c.PutBinned(string(rune('a'+i)), &ml.BinnedMatrix{N: i})
-	}
-	d := c.StatsDetail()
-	if d.Entries != 3 {
-		t.Fatalf("entries = %d, want the bound 3", d.Entries)
-	}
-	if d.Evictions != 7 {
-		t.Fatalf("evictions = %d, want 7", d.Evictions)
 	}
 }
 

@@ -36,10 +36,7 @@ func fixture(t *testing.T) (*data.Dataset, *core.TicketPredictor, *core.TroubleL
 		}
 		fixtureDS = res.Dataset
 
-		cfg := core.DefaultPredictorConfig(fixtureDS.NumLines, 11)
-		cfg.Rounds = 40
-		cfg.MaxSelectExamples = 12000
-		pred, err := core.TrainPredictor(fixtureDS, features.WeekRange(32, 38), cfg)
+		pred, err := trainFixturePredictor(fixtureDS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,6 +53,16 @@ func fixture(t *testing.T) (*data.Dataset, *core.TicketPredictor, *core.TroubleL
 		fixtureLoc = loc
 	}
 	return fixtureDS, fixturePred, fixtureLoc
+}
+
+// trainFixturePredictor trains the fixture's predictor, threading cache
+// through training as the eval harness does (nil trains uncached). A cached
+// predictor keeps the cache attached afterwards.
+func trainFixturePredictor(ds *data.Dataset, cache *features.Cache) (*core.TicketPredictor, error) {
+	cfg := core.DefaultPredictorConfig(ds.NumLines, 11)
+	cfg.Rounds = 40
+	cfg.MaxSelectExamples = 12000
+	return core.TrainPredictorCached(ds, features.WeekRange(32, 38), cfg, cache)
 }
 
 // recordsFor converts weeks [lo, hi] of the dataset into ingest records,
@@ -90,11 +97,19 @@ type testFleet struct {
 	names  []string
 }
 
-// newTestFleet builds an n-shard gateway and the reference single daemon.
-// hooks and retry tune failure behaviour; both may be zero-valued.
+// newTestFleet builds an n-shard gateway and the reference single daemon,
+// all serving the fixture models. hooks and retry tune failure behaviour;
+// both may be zero-valued.
 func newTestFleet(t *testing.T, n int, hooks *fleet.FaultHooks, retry serve.RetryConfig) *testFleet {
 	t.Helper()
-	_, pred, loc := fixture(t)
+	_, pred, _ := fixture(t)
+	return newTestFleetWith(t, n, hooks, retry, pred)
+}
+
+// newTestFleetWith is newTestFleet with every daemon sharing pred.
+func newTestFleetWith(t *testing.T, n int, hooks *fleet.FaultHooks, retry serve.RetryConfig, pred *core.TicketPredictor) *testFleet {
+	t.Helper()
+	_, _, loc := fixture(t)
 	tf := &testFleet{}
 	ht := fleet.HostTransport{}
 	specs := make([]fleet.ShardSpec, n)

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"nevermind/internal/core"
 	"nevermind/internal/data"
+	"nevermind/internal/features"
 	"nevermind/internal/fleet"
 	"nevermind/internal/serve"
 )
@@ -90,7 +92,30 @@ func TestGatewayOneShardByteIdentity(t *testing.T) {
 // would be scored from the population-mean fallback vector, which is a
 // shard-local statistic — the one documented place sharding can diverge.
 func TestGatewayShardedEqualsSingle(t *testing.T) {
-	tf := newTestFleet(t, 3, nil, serve.RetryConfig{MaxAttempts: 2})
+	ds, pred, _ := fixture(t)
+	cached, err := trainFixturePredictor(ds, features.NewCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pred *core.TicketPredictor
+	}{
+		{"fixture", pred},
+		// An eval-trained predictor arrives with its encode cache attached.
+		// Every daemon below shares it, and their stores reach equal
+		// versions with different contents (a shard holds only its slice),
+		// so a cache keyed on snapshot generation would hand one store's
+		// population encode to another. Installing a model for serving
+		// must detach the cache.
+		{"eval-cached", cached},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testShardedEqualsSingle(t, tc.pred) })
+	}
+}
+
+func testShardedEqualsSingle(t *testing.T, pred *core.TicketPredictor) {
+	tf := newTestFleetWith(t, 3, nil, serve.RetryConfig{MaxAttempts: 2}, pred)
 	body := ingestBodyFor(t, 33, 41)
 	tf.bothModuloVersion(t, http.MethodPost, "/v1/ingest", body)
 

@@ -59,16 +59,15 @@ func ingestSteps(t *testing.T, s *Store, lo, hi int) {
 	}
 }
 
-// assertSameContent compares two snapshots through the serving surface,
-// ignoring Generation: restored stores carry a different process salt, so
-// generations legitimately differ while content must be bit-identical.
+// assertSameContent compares two snapshots through the serving surface:
+// same version, same generation, bit-identical content.
 func assertSameContent(t *testing.T, a, b *Snapshot) {
 	t.Helper()
 	if a == nil || b == nil {
 		t.Fatalf("nil snapshot: %v vs %v", a, b)
 	}
-	if a.Version != b.Version {
-		t.Fatalf("versions diverged: %d vs %d", a.Version, b.Version)
+	if a.Version != b.Version || a.DS.Generation != b.DS.Generation {
+		t.Fatalf("versions diverged: %d/%d vs %d/%d (version/generation)", a.Version, a.DS.Generation, b.Version, b.DS.Generation)
 	}
 	if a.DS.NumLines != b.DS.NumLines || a.DS.NumDSLAMs != b.DS.NumDSLAMs {
 		t.Fatalf("shape diverged: lines %d/%d dslams %d/%d", a.DS.NumLines, b.DS.NumLines, a.DS.NumDSLAMs, b.DS.NumDSLAMs)

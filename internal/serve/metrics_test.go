@@ -41,7 +41,7 @@ func metricsFixtureServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	for _, url := range []string{"/healthz", "/debug/vars", "/v1/rank?week=42&n=3", "/v1/trace"} {
+	for _, url := range []string{"/healthz", "/v1/rank?week=42&n=3", "/v1/trace"} {
 		resp, err := http.Get(ts.URL + url)
 		if err != nil {
 			t.Fatal(err)
@@ -150,8 +150,6 @@ func TestMetricsCoverage(t *testing.T) {
 		"nevermind_pipeline_stage_duration_seconds_bucket",
 		"nevermind_store_ingest_duration_seconds_bucket",
 		"nevermind_store_snapshot_build_duration_seconds_sum",
-		"nevermind_cache_hits_total",
-		"nevermind_cache_misses_total",
 		"nevermind_trace_spans_total",
 	} {
 		if !strings.Contains(text, family) {

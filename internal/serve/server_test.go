@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +67,35 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]json.RawMessa
 		t.Fatalf("decoding %s response: %v", url, err)
 	}
 	return resp, out
+}
+
+// metricSample scrapes base/metrics and returns the value of one sample,
+// named exactly as the exposition prints it (labels included).
+func metricSample(t *testing.T, base, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+	}
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("sample %s absent from /metrics", series)
+	return 0
 }
 
 func ingestWeeks(t *testing.T, ts *httptest.Server, lo, hi int) {
@@ -219,50 +250,24 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// The monitoring surface reflects the traffic above.
-	resp, vars := getJSON(t, ts.URL+"/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars: %d", resp.StatusCode)
+	for _, route := range []string{"score", "rank", "ingest"} {
+		if metricSample(t, ts.URL, `nevermind_http_requests_total{route="`+route+`"}`) == 0 {
+			t.Fatalf("request counter for %s missing traffic", route)
+		}
 	}
-	var reqs map[string]int64
-	if err := json.Unmarshal(vars["requests"], &reqs); err != nil {
-		t.Fatal(err)
+	if metricSample(t, ts.URL, `nevermind_http_request_errors_total{route="score"}`) == 0 {
+		t.Fatal("error counter missed the bad requests")
 	}
-	if reqs["score"] == 0 || reqs["rank"] == 0 || reqs["ingest"] == 0 {
-		t.Fatalf("request counters missing traffic: %v", reqs)
-	}
-	var errs map[string]int64
-	if err := json.Unmarshal(vars["errors"], &errs); err != nil {
-		t.Fatal(err)
-	}
-	if errs["score"] == 0 {
-		t.Fatalf("error counter missed the bad requests: %v", errs)
-	}
-	var store struct {
-		Lines      int   `json:"lines"`
-		ShardLines []int `json:"shard_lines"`
-	}
-	if err := json.Unmarshal(vars["store"], &store); err != nil {
-		t.Fatal(err)
-	}
-	if store.Lines != ds.NumLines || len(store.ShardLines) != srv.Store().NumShards() {
-		t.Fatalf("store vars: %+v", store)
-	}
-	var cache struct {
-		Hits, Misses, Entries int
-	}
-	if err := json.Unmarshal(vars["cache"], &cache); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Misses == 0 {
-		t.Fatal("cache counters never moved")
+	_, health = getJSON(t, ts.URL+"/healthz")
+	if string(health["lines"]) != strconv.Itoa(ds.NumLines) {
+		t.Fatalf("healthz lines = %s, want %d", health["lines"], ds.NumLines)
 	}
 }
 
-// TestScoreFreshAfterReingest pins the cache-invalidation contract: the
-// encode/bin cache keys include the snapshot's dataset generation, so a
-// score repeated with the same example list after a re-ingest that changed
-// the data must reflect the new store contents, not the cached matrix of
-// the old snapshot.
+// TestScoreFreshAfterReingest pins the staleness contract: a score repeated
+// with the same example list after a re-ingest that changed the data must
+// reflect the new store contents, not anything memoized for the old
+// snapshot.
 func TestScoreFreshAfterReingest(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -291,7 +296,7 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 		return version, preds
 	}
 	v0, _ := score()
-	score() // populate the cache for the current generation
+	score() // a repeat the score path may memoize for this snapshot
 
 	// Replay week 41 with perturbed measurements — re-ingested tests, as a
 	// corrected upstream feed would send.
@@ -312,10 +317,9 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 	if v1 == v0 {
 		t.Fatal("re-ingest did not bump the served version")
 	}
-	// Ground truth: the same predictor scoring the new snapshot with no
-	// cache in the path at all.
+	// Ground truth: the same predictor scoring the new snapshot directly,
+	// outside the serving path.
 	pred := srv.Models().Pred
-	pred.SetEncodeCache(nil)
 	sn := srv.Store().Snapshot()
 	ex := make([]features.Example, len(examples))
 	for i, e := range examples {
@@ -325,7 +329,6 @@ func TestScoreFreshAfterReingest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.SetEncodeCache(srv.cache)
 	for i := range got {
 		if got[i].Score != want[i].Score || got[i].Probability != want[i].Probability {
 			t.Fatalf("post-reingest score %d served stale: %+v, uncached truth %+v", i, got[i], want[i])
@@ -583,9 +586,8 @@ func TestHotReloadEquality(t *testing.T) {
 	}
 
 	// A reload counter must have moved.
-	_, vars := getJSON(t, ts.URL+"/debug/vars")
-	if string(vars["reloads"]) != "1" {
-		t.Fatalf("reloads counter = %s", vars["reloads"])
+	if got := metricSample(t, ts.URL, "nevermind_model_reloads_total"); got != 1 {
+		t.Fatalf("reloads counter = %v", got)
 	}
 
 	// Operational settings set on the process (the -budget and -workers

@@ -105,10 +105,10 @@ func TestStoreIngestAndSnapshot(t *testing.T) {
 	if sn.DS.At(7, 10).F[0] != 1 {
 		t.Fatal("old snapshot mutated by ingest")
 	}
-	// Snapshots carry the salted store version as the dataset generation, so
-	// the feature caches downstream can never serve one version's encodes
-	// for another.
-	if sn.DS.Generation != s.genSalt|sn.Version || sn2.DS.Generation != s.genSalt|sn2.Version || sn.DS.Generation == sn2.DS.Generation {
+	// Snapshots carry the store version as the dataset generation, so a
+	// feature cache keyed on it can never serve one version's encodes for
+	// another.
+	if sn.DS.Generation != sn.Version || sn2.DS.Generation != sn2.Version || sn.DS.Generation == sn2.DS.Generation {
 		t.Fatalf("snapshot generations %d/%d for versions %d/%d", sn.DS.Generation, sn2.DS.Generation, sn.Version, sn2.Version)
 	}
 

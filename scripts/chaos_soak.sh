@@ -113,8 +113,10 @@ GOT=$(grep -o '"line":' <<<"$RANK" | wc -l)
 [[ "$GOT" -eq 5 ]] || fail "/v1/rank returned $GOT predictions, want 5: $RANK"
 
 # The degradation gauges are exposed.
-curl -fsS "$BASE/debug/vars" | grep -q '"degraded"' \
-    || fail "/debug/vars is missing the degraded block"
+METRICS="$(curl -fsS "$BASE/metrics")" || fail "/metrics errored"
+for family in nevermind_degraded nevermind_store_snapshot_lag; do
+    grep -q "^$family " <<<"$METRICS" || fail "/metrics is missing $family"
+done
 
 kill -TERM "$PID"
 DEADLINE=$((SECONDS + 30))

@@ -81,8 +81,11 @@ GOT=$(grep -o '"line":' <<<"$RANK" | wc -l)
 [[ "$GOT" -eq 5 ]] || fail "/v1/rank returned $GOT predictions, want 5: $RANK"
 echo "serve-smoke: rank returned 5 predictions"
 
-curl -fsS "$BASE/debug/vars" | grep -q '"requests"' \
-    || fail "/debug/vars is missing request counters"
+METRICS="$(curl -fsS "$BASE/metrics")" || fail "/metrics errored"
+for route in ingest rank; do
+    grep -Eq "^nevermind_http_requests_total\{route=\"$route\"\} [1-9]" <<<"$METRICS" \
+        || fail "/metrics did not count the $route request"
+done
 
 kill -TERM "$PID"
 DEADLINE=$((SECONDS + 30))
