@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-repeat race fleetbench-test bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
+.PHONY: all check build vet test test-repeat race stress fleetbench-test bench bench-json bench-diff bench-smoke serve-smoke fleet-smoke restart-smoke replica-smoke chaos-smoke chaos-soak drift-smoke experiments examples fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -41,6 +41,14 @@ race:
 	$(GO) test -race ./internal/parallel/ ./internal/ml/ ./internal/obs/
 	$(GO) test -race -run 'AcrossWorkers|Compiled|Cache' ./internal/core/ ./internal/eval/
 	$(GO) test -race -timeout 30m ./internal/serve/ ./internal/chaos/ ./internal/replica/ ./internal/drift/
+
+# Interleaving stress: twenty passes over the packages whose tests race
+# goroutines against each other (the chaos soaks, the serving store,
+# replication, the drift loop, the fleet gateway, the WAL), so a one-in-N
+# flake surfaces before merge. Not part of check: 265 s wall on a 2-CPU
+# host.
+stress:
+	$(GO) test -count=20 -timeout 60m ./internal/chaos/ ./internal/serve/ ./internal/replica/ ./internal/drift/ ./internal/fleet/ ./internal/wal/
 
 # The fleet benchmark is its own Go module (outside ./...) that imports this
 # one; vetting and testing it here makes a refactor that breaks its imports

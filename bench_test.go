@@ -979,6 +979,70 @@ func BenchmarkReplicaCatchup(b *testing.B) {
 	}
 }
 
+// BenchmarkReplicaStreamTail measures one caught-up follower poll: GET
+// /v1/repl/wal?from=599 through replica.Source over HTTP against a leader
+// log of 600 ~60 KB records in one segment, the log a weekly-cycle fleet
+// benchmark leader holds by week 37. The poll ships only version 600, so
+// its cost should track the one record it ships, not the log behind it.
+func BenchmarkReplicaStreamTail(b *testing.B) {
+	const versions = 600
+	dir := b.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tests := make([]wal.TestRec, 60000/(16+4*data.NumBasicFeatures))
+	for v := uint64(1); v <= versions; v++ {
+		for j := range tests {
+			f := make([]float32, data.NumBasicFeatures)
+			for k := range f {
+				f[k] = float32(v) + float32(j*k)
+			}
+			line := (int(v)*len(tests) + j*31) % 16000
+			tests[j] = wal.TestRec{
+				Line: data.LineID(line), Week: 30 + int(v%14),
+				DSLAM: int32(line % 50), Usage: 0.5, F: f,
+			}
+		}
+		if err := l.Append(&wal.Record{Version: v, Op: wal.OpTests, Tests: tests}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	src, err := replica.NewSource(replica.SourceConfig{
+		Dir:         dir,
+		LastVersion: func() uint64 { return versions },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(src.Handler())
+	defer ts.Close()
+	url := fmt.Sprintf("%s/v1/repl/wal?from=%d&id=bench", ts.URL, versions-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr, err := wal.NewStreamReader(resp.Body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := sr.Next()
+		if err != nil || rec.Version != versions {
+			b.Fatalf("poll from %d: record %+v, err %v", versions-1, rec, err)
+		}
+		if _, err := sr.Next(); err != io.EOF {
+			b.Fatalf("poll from %d shipped past version %d: %v", versions-1, versions, err)
+		}
+		resp.Body.Close()
+	}
+}
+
 // BenchmarkGatewayScoreReplicas measures whole-population batch scoring
 // through a gateway whose single shard has a caught-up read replica: every
 // score request routes to the replica, with the leader idle as fallback.

@@ -199,16 +199,24 @@ func (in *Injector) Stats() Stats {
 }
 
 // roll decides whether the site fails this time: a seeded draw under rate,
-// clamped by the consecutive-failure bound.
+// clamped by the consecutive-failure bound. The clamp is a CAS loop so
+// concurrent rolls cannot both pass the bound check and push the run past
+// MaxConsecutive.
 func (in *Injector) roll(site *faultSite, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
 	seq := site.seq.Add(1)
-	hit := rng.Derive(in.cfg.Seed, site.label, seq).Float64() < rate
-	if hit && site.consecutive.Load() < int64(in.cfg.MaxConsecutive) {
-		site.consecutive.Add(1)
-		return true
+	if rng.Derive(in.cfg.Seed, site.label, seq).Float64() < rate {
+		for {
+			n := site.consecutive.Load()
+			if n >= int64(in.cfg.MaxConsecutive) {
+				break
+			}
+			if site.consecutive.CompareAndSwap(n, n+1) {
+				return true
+			}
+		}
 	}
 	site.consecutive.Store(0)
 	return false

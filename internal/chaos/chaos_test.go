@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,6 +111,45 @@ func TestInjectorBoundedConsecutive(t *testing.T) {
 	// At rate 1.0 the pattern is exactly fail,fail,fail,pass repeating.
 	if passes != 25 {
 		t.Fatalf("expected 25 forced passes at rate 1.0, got %d", passes)
+	}
+}
+
+// TestInjectorBoundedConsecutiveConcurrent pins the same bound when many
+// goroutines roll one site at once: a hit must never take the run counter
+// past MaxConsecutive, so between two forced passes there are at most
+// MaxConsecutive hits, whatever the interleaving.
+func TestInjectorBoundedConsecutiveConcurrent(t *testing.T) {
+	const (
+		maxRun     = 3
+		goroutines = 8
+		rolls      = 20000
+	)
+	in := New(Config{Seed: 1, IngestError: 1.0, MaxConsecutive: maxRun})
+	site := &in.ingestTestsSite
+	var hits, misses, overruns atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rolls; i++ {
+				if in.roll(site, 1.0) {
+					hits.Add(1)
+				} else {
+					misses.Add(1)
+				}
+				if site.consecutive.Load() > maxRun {
+					overruns.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := overruns.Load(); n > 0 {
+		t.Fatalf("the run counter exceeded %d on %d rolls", maxRun, n)
+	}
+	if h, m := hits.Load(), misses.Load(); h > maxRun*(m+1) {
+		t.Fatalf("%d hits against %d forced passes exceed %d per run", h, m, maxRun)
 	}
 }
 

@@ -27,6 +27,12 @@ const (
 	ckptPrefix  = "ckpt-"
 	ckptSuffix  = ".ckpt"
 	ckptNameLen = len(ckptPrefix) + 20 + len(ckptSuffix)
+	// ckptLevel trades ~5% more checkpoint bytes for a ~3x cheaper write:
+	// a checkpoint gzips the whole store, every shard leader writes one at
+	// about the same version, and the compression runs on a host that is
+	// still ingesting. Readers accept any level, so files written at
+	// another level still load.
+	ckptLevel = gzip.BestSpeed
 )
 
 type ckptHeader struct {
@@ -53,7 +59,7 @@ func WriteCheckpoint(dir string, version uint64, state any) (retErr error) {
 			os.Remove(tmp)
 		}
 	}()
-	zw := gzip.NewWriter(f)
+	zw, _ := gzip.NewWriterLevel(f, ckptLevel) // a valid constant level: cannot fail
 	enc := gob.NewEncoder(zw)
 	if err := enc.Encode(ckptHeader{Magic: ckptMagic, Format: ckptFormat, Version: version}); err != nil {
 		return fmt.Errorf("wal: encode checkpoint header: %w", err)

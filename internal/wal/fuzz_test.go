@@ -92,6 +92,22 @@ func FuzzWALDecode(f *testing.F) {
 		if rerr == nil && replayed != ds.Records {
 			t.Fatalf("Replay applied %d records, Inspect counted %d", replayed, ds.Records)
 		}
+		// A replay from mid-chain walks the prefix without decoding it and
+		// must still deliver exactly the rest of the chain Inspect counts.
+		if rerr == nil && ds.Records > 0 {
+			from := ds.LastVersion - uint64(ds.Records/2)
+			next := from + 1
+			n, err := Replay(dir, from, func(r *Record) error {
+				if r.Version != next {
+					t.Fatalf("replay from %d: got version %d, want %d", from, r.Version, next)
+				}
+				next++
+				return nil
+			})
+			if err != nil || n != ds.Records/2 {
+				t.Fatalf("replay from %d applied %d records (err %v), want %d", from, n, err, ds.Records/2)
+			}
+		}
 
 		// Open repairs the directory; its view must match Inspect's, and a
 		// second Open must find a clean chain (repair is idempotent and

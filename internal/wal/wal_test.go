@@ -1,7 +1,11 @@
 package wal
 
 import (
+	"compress/gzip"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,6 +123,19 @@ func TestAppendReplayRotation(t *testing.T) {
 	if got := replayAll(t, dir, 73); len(got) != 27 || got[0].Version != 74 {
 		t.Fatalf("replay from 73: %d records, first %d", len(got), got[0].Version)
 	}
+	// From every start point, across every segment junction, replay
+	// delivers exactly from+1..100, decoded intact.
+	for from := uint64(0); from <= 100; from++ {
+		got := replayAll(t, dir, from)
+		if len(got) != int(100-from) {
+			t.Fatalf("replay from %d: %d records, want %d", from, len(got), 100-from)
+		}
+		for i, r := range got {
+			if want := testRecord(from + uint64(i) + 1); !reflect.DeepEqual(r, want) {
+				t.Fatalf("replay from %d, record %d mismatch:\n  got  %+v\n  want %+v", from, i, r, want)
+			}
+		}
+	}
 	// Replay from exactly the tail: nothing.
 	if got := replayAll(t, dir, 100); len(got) != 0 {
 		t.Fatalf("replay from tail returned %d records", len(got))
@@ -214,47 +231,103 @@ func TestGarbageAppendTruncated(t *testing.T) {
 	}
 }
 
+// TestBitFlipEndsChain corrupts one frame in the middle segment, either by
+// flipping a payload byte (the CRC no longer matches) or by moving its
+// version out of sequence under a recomputed CRC. Either way the frame ends
+// the readable chain: for Replay whatever the start point, including start
+// points past the frame, where it is only walked past rather than decoded,
+// and for Open's repair.
 func TestBitFlipEndsChain(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 300, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, 1, 50)
-	l.Close()
-	segs, _ := segNames(dir)
-	if len(segs) < 3 {
-		t.Fatalf("need ≥3 segments, got %d", len(segs))
-	}
-	// Flip one payload byte in the middle segment: its tail and every later
-	// segment become unreachable.
-	mid := filepath.Join(dir, segs[len(segs)/2])
-	b, _ := os.ReadFile(mid)
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(mid, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, seg []byte)
+	}{
+		{"crc", func(_ *testing.T, b []byte) { b[len(b)/2] ^= 0x40 }},
+		{"out-of-sequence", func(t *testing.T, b []byte) {
+			hdr, payload := frameAt(t, b, len(b)/2)
+			binary.LittleEndian.PutUint64(payload, binary.LittleEndian.Uint64(payload)+5)
+			binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(dir, Options{SegmentBytes: 300, Sync: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, 1, 50)
+			l.Close()
+			segs, _ := segNames(dir)
+			if len(segs) < 3 {
+				t.Fatalf("need ≥3 segments, got %d", len(segs))
+			}
+			// Corrupt one frame in the middle segment: its tail and every
+			// later segment become unreachable.
+			mid := filepath.Join(dir, segs[len(segs)/2])
+			b, _ := os.ReadFile(mid)
+			tc.corrupt(t, b)
+			if err := os.WriteFile(mid, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	l2, info, err := Open(dir, Options{SegmentBytes: 300, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
+			// Before repair, Replay from every start point stops where the
+			// read-only, fully decoding Inspect says the chain ends.
+			ds, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := ds.LastVersion
+			if last == 0 || last >= 50 {
+				t.Fatalf("Inspect LastVersion = %d, want in (0,50)", last)
+			}
+			for from := uint64(0); from <= 50; from++ {
+				got := replayAll(t, dir, from)
+				want := 0
+				if from < last {
+					want = int(last - from)
+				}
+				if len(got) != want || want > 0 && (got[0].Version != from+1 || got[want-1].Version != last) {
+					t.Fatalf("replay from %d over a chain ending at %d: %d records", from, last, len(got))
+				}
+			}
+
+			l2, info, err := Open(dir, Options{SegmentBytes: 300, Sync: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.LastVersion == 0 || info.LastVersion >= 50 {
+				t.Fatalf("bit flip: LastVersion = %d, want in (0,50)", info.LastVersion)
+			}
+			if info.DroppedSegments == 0 {
+				t.Fatal("expected later segments dropped")
+			}
+			// Replay agrees with repair, and the chain continues from there.
+			got := replayAll(t, dir, 0)
+			if uint64(len(got)) != info.LastVersion {
+				t.Fatalf("replay %d records, repair says %d", len(got), info.LastVersion)
+			}
+			appendAll(t, l2, info.LastVersion+1, 60)
+			l2.Close()
+			if got := replayAll(t, dir, 0); got[len(got)-1].Version != 60 {
+				t.Fatalf("chain tail %d after re-append", got[len(got)-1].Version)
+			}
+		})
 	}
-	if info.LastVersion == 0 || info.LastVersion >= 50 {
-		t.Fatalf("bit flip: LastVersion = %d, want in (0,50)", info.LastVersion)
+}
+
+// frameAt returns the frame header and payload of the record frame in
+// segment bytes b that contains offset off.
+func frameAt(t *testing.T, b []byte, off int) (hdr, payload []byte) {
+	t.Helper()
+	for pos := segHdrLen; pos+frameLen <= len(b); {
+		end := pos + frameLen + int(binary.LittleEndian.Uint32(b[pos:]))
+		if off < end {
+			return b[pos : pos+frameLen], b[pos+frameLen : end]
+		}
+		pos = end
 	}
-	if info.DroppedSegments == 0 {
-		t.Fatal("expected later segments dropped")
-	}
-	// Replay agrees with repair, and the chain continues from there.
-	got := replayAll(t, dir, 0)
-	if uint64(len(got)) != info.LastVersion {
-		t.Fatalf("replay %d records, repair says %d", len(got), info.LastVersion)
-	}
-	appendAll(t, l2, info.LastVersion+1, 60)
-	l2.Close()
-	if got := replayAll(t, dir, 0); got[len(got)-1].Version != 60 {
-		t.Fatalf("chain tail %d after re-append", got[len(got)-1].Version)
-	}
+	t.Fatalf("offset %d is past the last frame", off)
+	return nil, nil
 }
 
 func TestReplayGapRejected(t *testing.T) {
@@ -352,6 +425,33 @@ func TestCheckpointRoundTripAndFallback(t *testing.T) {
 	kept, err := PruneCheckpoints(dir, 2)
 	if err != nil || len(kept) != 2 || kept[0].Version != 20 {
 		t.Fatalf("prune: %+v, %v", kept, err)
+	}
+
+	// WriteCheckpoint compresses at BestSpeed (gzip XFL byte 4), and a
+	// checkpoint compressed at another level — gzip's default, which older
+	// builds wrote — loads all the same.
+	if b, _ := os.ReadFile(kept[0].Path); len(b) < 10 || b[8] != 4 {
+		t.Fatalf("checkpoint gzip header %x: want XFL 4 (BestSpeed)", b[:min(len(b), 10)])
+	}
+	f, err := os.Create(filepath.Join(dir, ckptName(40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw, _ := gzip.NewWriterLevel(f, gzip.DefaultCompression)
+	enc := gob.NewEncoder(zw)
+	if err := enc.Encode(ckptHeader{Magic: ckptMagic, Format: ckptFormat, Version: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(&state{Name: "ckpt-40", Vals: []int{40, 80}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	v, err = LoadCheckpoint(filepath.Join(dir, ckptName(40)), &got)
+	if err != nil || v != 40 || got.Name != "ckpt-40" {
+		t.Fatalf("default-level checkpoint: v=%d err=%v state=%+v", v, err, got)
 	}
 }
 
