@@ -8,9 +8,10 @@
 // A 1-shard gateway answers byte-for-byte as a bare nevermindd would; its
 // own /healthz and /metrics are fleet-shaped (per-shard up/lag gauges, the
 // degraded count) and sit outside that contract. With -pipeline it also runs
-// the weekly §3.2 loop fleet-wide: each simulated week is ring-partitioned
-// and ingested by all shards in parallel, ranked fleet-wide, and dispatched
-// into a local ATDS queue exactly as the single daemon does.
+// the weekly §3.2 loop (serve.Pipeline, the daemon's own) with the gateway
+// as its backend: each simulated week is ring-partitioned and ingested by
+// all shards in parallel, ranked fleet-wide, and dispatched into a local
+// ATDS queue exactly as the single daemon does.
 package main
 
 import (
@@ -183,7 +184,7 @@ func main() {
 		if inj != nil {
 			feed = inj.WrapSource(feed)
 		}
-		pl, err := fleet.NewPipeline(gw, fleet.PipelineConfig{
+		pl, err := serve.NewPipeline(gw, serve.PipelineConfig{
 			Source: feed,
 			Tick:   *tick,
 			Retry: serve.RetryConfig{

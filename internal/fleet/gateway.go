@@ -334,14 +334,6 @@ func relayFirstFailure(w http.ResponseWriter, results []shardResult, contacted [
 
 // --- ingest --------------------------------------------------------------------
 
-// ingestReply mirrors the daemon's /v1/ingest response body.
-type ingestReply struct {
-	IngestedTests   int    `json:"ingested_tests"`
-	IngestedTickets int    `json:"ingested_tickets"`
-	Lines           int    `json:"lines"`
-	Version         uint64 `json:"version"`
-}
-
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req serve.IngestRequest
 	if err := serve.DecodeStrict(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes), &req); err != nil {
@@ -386,14 +378,14 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}(i, body)
 	}
 	wg.Wait()
-	var merged ingestReply
+	var merged serve.IngestReply
 	for _, i := range contacted {
 		res := results[i]
 		if res.err != nil || res.resp.Status != http.StatusOK {
 			relayFirstFailure(w, results, contacted)
 			return
 		}
-		var rep ingestReply
+		var rep serve.IngestReply
 		if err := json.Unmarshal(res.resp.Body, &rep); err != nil {
 			writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", g.clients[i].name, err))
 			return
@@ -403,12 +395,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		merged.Lines += rep.Lines
 		merged.Version += rep.Version
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ingested_tests":   merged.IngestedTests,
-		"ingested_tickets": merged.IngestedTickets,
-		"lines":            merged.Lines,
-		"version":          merged.Version,
-	})
+	writeJSON(w, http.StatusOK, &merged)
 }
 
 // --- score ---------------------------------------------------------------------
@@ -730,65 +717,66 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // --- monitoring ----------------------------------------------------------------
 
+// fleetHealth is the gateway's /healthz body: handleHealthz writes it and
+// the pipeline backend's freshness check reads it back. Fields are in key
+// order, so the top level encodes exactly as the sorted map it replaced.
+type fleetHealth struct {
+	BudgetN     int           `json:"budget_n"`
+	GridLines   int           `json:"grid_lines"`
+	LatestWeek  int           `json:"latest_week"`
+	Lines       int           `json:"lines"`
+	Shards      []shardStatus `json:"shards"`
+	ShardsTotal int           `json:"shards_total"`
+	ShardsUp    int           `json:"shards_up"`
+	SnapshotLag uint64        `json:"snapshot_lag"`
+	Status      string        `json:"status"`
+	Version     uint64        `json:"version"`
+}
+
+// shardStatus is one shard's entry in fleetHealth, fields in key order.
+// Zero stats are omitted, so a down shard's entry is just its name,
+// up=false and the probe error.
+type shardStatus struct {
+	Error       string `json:"error,omitempty"`
+	GridLines   int    `json:"grid_lines,omitempty"`
+	LatestWeek  int    `json:"latest_week,omitempty"`
+	Lines       int    `json:"lines,omitempty"`
+	Name        string `json:"name"`
+	SnapshotLag uint64 `json:"snapshot_lag,omitempty"`
+	Up          bool   `json:"up"`
+	Version     uint64 `json:"version,omitempty"`
+}
+
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hs, errs := g.probeShards(r.Context())
-	shards := make([]map[string]any, len(g.clients))
-	var lines int
-	var version uint64
-	latestWeek, gridLines, up := -1, 0, 0
-	var lag uint64
-	budgetN := 0
+	fh := fleetHealth{
+		LatestWeek:  -1,
+		Shards:      make([]shardStatus, len(g.clients)),
+		ShardsTotal: len(g.clients),
+		Status:      "ok",
+	}
 	for i, c := range g.clients {
-		if hs[i] == nil {
-			shards[i] = map[string]any{
-				"name":  c.name,
-				"up":    false,
-				"error": errs[i].Error(),
-			}
+		h := hs[i]
+		if h == nil {
+			fh.Shards[i] = shardStatus{Name: c.name, Error: errs[i].Error()}
+			fh.Status = "degraded"
 			continue
 		}
-		h := hs[i]
-		up++
-		lines += h.Lines
-		version += h.Version
-		if h.LatestWeek > latestWeek {
-			latestWeek = h.LatestWeek
+		fh.ShardsUp++
+		fh.Lines += h.Lines
+		fh.Version += h.Version
+		fh.LatestWeek = max(fh.LatestWeek, h.LatestWeek)
+		fh.GridLines = max(fh.GridLines, h.GridLines)
+		fh.SnapshotLag = max(fh.SnapshotLag, h.SnapshotLag)
+		if fh.BudgetN == 0 {
+			fh.BudgetN = h.BudgetN
 		}
-		if h.GridLines > gridLines {
-			gridLines = h.GridLines
-		}
-		if h.SnapshotLag > lag {
-			lag = h.SnapshotLag
-		}
-		if budgetN == 0 {
-			budgetN = h.BudgetN
-		}
-		shards[i] = map[string]any{
-			"name":         c.name,
-			"up":           true,
-			"lines":        h.Lines,
-			"latest_week":  h.LatestWeek,
-			"grid_lines":   h.GridLines,
-			"version":      h.Version,
-			"snapshot_lag": h.SnapshotLag,
+		fh.Shards[i] = shardStatus{
+			Name: c.name, Up: true, Lines: h.Lines, LatestWeek: h.LatestWeek,
+			GridLines: h.GridLines, Version: h.Version, SnapshotLag: h.SnapshotLag,
 		}
 	}
-	status := "ok"
-	if up < len(g.clients) {
-		status = "degraded"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":       status,
-		"shards_total": len(g.clients),
-		"shards_up":    up,
-		"lines":        lines,
-		"version":      version,
-		"latest_week":  latestWeek,
-		"grid_lines":   gridLines,
-		"snapshot_lag": lag,
-		"budget_n":     budgetN,
-		"shards":       shards,
-	})
+	writeJSON(w, http.StatusOK, &fh)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {

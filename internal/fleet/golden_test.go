@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"nevermind/internal/data"
-	"nevermind/internal/fleet"
 	"nevermind/internal/serve"
 	"nevermind/internal/sim"
 )
@@ -35,7 +34,7 @@ func TestFleetGoldenEndToEndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	pl, err := fleet.NewPipeline(tf.gw, fleet.PipelineConfig{
+	pl, err := serve.NewPipeline(tf.gw, serve.PipelineConfig{
 		Source: serve.SimFeed(src),
 		Sleep:  func(time.Duration) {},
 		OnWeek: func(r serve.WeekReport) {
@@ -132,7 +131,7 @@ func TestFleetPipelineTwoShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	weeks := 0
-	pl, err := fleet.NewPipeline(tf.gw, fleet.PipelineConfig{
+	pl, err := serve.NewPipeline(tf.gw, serve.PipelineConfig{
 		Source: serve.SimFeed(src),
 		Sleep:  func(time.Duration) {},
 		OnWeek: func(r serve.WeekReport) {

@@ -8,9 +8,8 @@ import (
 )
 
 // HandlerTransport adapts an http.Handler into an http.RoundTripper: the
-// request is served in-process, no sockets involved. The fleet pipeline uses
-// it to drive the gateway it is embedded in, and the benchmarks/fuzz
-// harnesses use it to splice whole shard daemons into a gateway so the
+// request is served in-process, no sockets involved. The benchmarks and
+// fuzz harnesses use it to splice whole shard daemons into a gateway so the
 // measurement (or the byte-equality check) excludes the TCP stack.
 type HandlerTransport struct {
 	H http.Handler

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,9 +57,9 @@ func (f *flakySource) Next() (sim.Batch, bool, error) {
 	}
 	switch mode {
 	case failTransient:
-		return sim.Batch{}, true, Transient(errors.New("feed outage"))
+		return sim.Batch{Week: f.cur.Week}, true, Transient(errors.New("feed outage"))
 	case failTerminal:
-		return sim.Batch{}, true, errors.New("feed gone for good")
+		return sim.Batch{Week: f.cur.Week}, true, errors.New("feed gone for good")
 	case deliverCorrupt:
 		bad := *f.cur
 		bad.Tests = append([]sim.LineTest(nil), f.cur.Tests...)
@@ -149,10 +150,14 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 		t.Fatalf("pipelineRetries = %d", got)
 	}
 
-	// Backoff: every retry carries a positive, bounded, jittered delay.
+	// Backoff: every retry carries a positive, bounded, jittered delay, and
+	// names the week it retries (a failed pull included).
 	for _, e := range retries {
 		if e.Backoff <= 0 || e.Backoff > 2*time.Second {
 			t.Fatalf("retry backoff %v out of bounds", e.Backoff)
+		}
+		if e.Week < 40 || e.Week > 42 {
+			t.Fatalf("%s retry names week %d, want 40..42", e.Op, e.Week)
 		}
 	}
 
@@ -160,6 +165,9 @@ func TestPipelineRetriesTransientFaults(t *testing.T) {
 	_, _, _, err = run([]sourceFault{failTerminal})
 	if err == nil || IsTransient(err) {
 		t.Fatalf("terminal fault survived: %v", err)
+	}
+	if !strings.Contains(err.Error(), "week 40") {
+		t.Fatalf("terminal pull error does not name week 40: %v", err)
 	}
 
 	// A fault that never clears exhausts the bounded budget rather than

@@ -44,14 +44,7 @@ type metrics struct {
 	loadShed *obs.Counter // requests refused 503 at admission (max-inflight)
 	timeouts *obs.Counter // requests whose deadline expired mid-handling
 
-	pipelineTicks     *obs.Counter
-	pipelineWeek      *obs.Gauge // latest completed week
-	pipelineSubmitted *obs.Counter
-	pipelineWorked    *obs.Counter
-	pipelineExpired   *obs.Counter
-	pipelineRetries   *obs.Counter
-	retriesByOp       *obs.CounterVec   // pull / ingest / snapshot
-	stageDur          *obs.HistogramVec // per pipeline stage: duration
+	*pipelineMetrics
 
 	storeIngestDur   *obs.HistogramVec // ingest_tests / ingest_tickets
 	storeBuildDur    *obs.Histogram    // snapshot full grid rebuild
@@ -91,22 +84,9 @@ func newMetrics() *metrics {
 	m.timeouts = reg.Counter("nevermind_http_timeouts_total",
 		"Requests whose deadline expired mid-handling.")
 
-	m.pipelineTicks = reg.Counter("nevermind_pipeline_ticks_total",
-		"Completed weekly pipeline ticks.")
-	m.pipelineWeek = reg.Gauge("nevermind_pipeline_week",
-		"Latest week the pipeline completed.")
-	m.pipelineSubmitted = reg.Counter("nevermind_pipeline_submitted_total",
-		"Predicted jobs pushed into the ATDS queue.")
-	m.pipelineWorked = reg.Counter("nevermind_pipeline_worked_total",
-		"Predicted jobs started within the horizon.")
-	m.pipelineExpired = reg.Counter("nevermind_pipeline_expired_total",
-		"Predicted jobs aged out unworked.")
-	m.pipelineRetries = reg.Counter("nevermind_pipeline_retries_total",
-		"Pipeline attempts that failed and were retried (all ops).")
-	m.retriesByOp = reg.CounterVec("nevermind_pipeline_retries_by_op_total",
-		"Pipeline attempts retried, by operation.", "op").Preset(retryOps...)
-	m.stageDur = reg.HistogramVec("nevermind_pipeline_stage_duration_seconds",
-		"Duration of each pipeline stage execution.", "stage", nil).Preset(pipelineStages...)
+	// Registered at boot, not when a pipeline starts, so a daemon's series
+	// set is the same with and without -pipeline.
+	m.pipelineMetrics = newPipelineMetrics(reg)
 
 	m.storeIngestDur = reg.HistogramVec("nevermind_store_ingest_duration_seconds",
 		"Store batch ingest time, by record kind.", "op", nil).Preset("ingest_tests", "ingest_tickets")
@@ -133,6 +113,41 @@ func newMetrics() *metrics {
 		"Stage spans recorded since boot.",
 		func() float64 { return float64(m.tracer.Finished()) })
 	return m
+}
+
+// pipelineMetrics are the weekly loop's instruments. The loop registers
+// them into its backend's registry; registration is get-or-create, so on a
+// daemon it binds the families newMetrics already made.
+type pipelineMetrics struct {
+	pipelineTicks     *obs.Counter
+	pipelineWeek      *obs.Gauge // latest completed week
+	pipelineSubmitted *obs.Counter
+	pipelineWorked    *obs.Counter
+	pipelineExpired   *obs.Counter
+	pipelineRetries   *obs.Counter
+	retriesByOp       *obs.CounterVec   // pull / ingest / snapshot
+	stageDur          *obs.HistogramVec // per pipeline stage: duration
+}
+
+func newPipelineMetrics(reg *obs.Registry) *pipelineMetrics {
+	return &pipelineMetrics{
+		pipelineTicks: reg.Counter("nevermind_pipeline_ticks_total",
+			"Completed weekly pipeline ticks."),
+		pipelineWeek: reg.Gauge("nevermind_pipeline_week",
+			"Latest week the pipeline completed."),
+		pipelineSubmitted: reg.Counter("nevermind_pipeline_submitted_total",
+			"Predicted jobs pushed into the ATDS queue."),
+		pipelineWorked: reg.Counter("nevermind_pipeline_worked_total",
+			"Predicted jobs started within the horizon."),
+		pipelineExpired: reg.Counter("nevermind_pipeline_expired_total",
+			"Predicted jobs aged out unworked."),
+		pipelineRetries: reg.Counter("nevermind_pipeline_retries_total",
+			"Pipeline attempts that failed and were retried (all ops)."),
+		retriesByOp: reg.CounterVec("nevermind_pipeline_retries_by_op_total",
+			"Pipeline attempts retried, by operation.", "op").Preset(retryOps...),
+		stageDur: reg.HistogramVec("nevermind_pipeline_stage_duration_seconds",
+			"Duration of each pipeline stage execution.", "stage", nil).Preset(pipelineStages...),
+	}
 }
 
 // bindServer registers the exposition-time gauges that read live server

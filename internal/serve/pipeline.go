@@ -21,8 +21,10 @@ import (
 // transiently, or deliver a batch that later fails ingest validation. The
 // re-delivery contract: after a pull error or a bad-batch rejection, the
 // next Next call re-serves the same week — a week is consumed only once it
-// has been delivered cleanly. The simulator's never-failing stream
-// trivially satisfies this because it never errors.
+// has been delivered cleanly. A failed pull still sets the batch's Week to
+// the pending week, so the retry, its backoff jitter, its span and the
+// error all name the week being retried. The simulator's never-failing
+// stream trivially satisfies this because it never errors.
 type Source interface {
 	Remaining() int
 	Next() (sim.Batch, bool, error)
@@ -104,6 +106,66 @@ type RetryEvent struct {
 	Backoff time.Duration
 }
 
+// Backend is what the weekly loop runs against: a local daemon (*Server) or
+// a fleet gateway. The loop owns everything else — retries, backoff, the
+// exactly-once guard, the ATDS queue, reports and hooks — and records its
+// stage spans and nevermind_pipeline_* series into Registry, plus the tracer
+// of a backend that has one (a Tracer() *obs.Tracer method).
+type Backend interface {
+	// Ingest applies one week's records and reports the counts and the
+	// post-ingest version. Errors classify as for the store: ErrBadBatch
+	// (re-pull the week), transient (re-send the batch), else terminal.
+	Ingest(tests []TestRecord, tickets []TicketRecord) (IngestReply, error)
+	// FreshRank ranks week over state that includes the ingest which
+	// produced version. State that still trails it is ErrStaleSnapshot;
+	// that and transient errors are retried, anything else is terminal.
+	FreshRank(week int, version uint64) (Ranking, error)
+	Registry() *obs.Registry
+}
+
+// Ranking is one week's answer from FreshRank.
+type Ranking struct {
+	// GridLines is the width of the line grid; it sizes the ATDS queue.
+	GridLines int
+	// Snapshot is the fresh local snapshot the ranking reads, nil on a
+	// remote backend. OnSnapshot fires only when it is set.
+	Snapshot *Snapshot
+	// Top returns the budgeted top-N lines, best first; nil when the week
+	// has no lines to rank. It runs only for a week the loop dispatches, so
+	// a backend may defer its scoring to it.
+	Top func() ([]data.LineID, error)
+}
+
+// ErrStaleSnapshot is the retryable "the ranking state trails the ingest"
+// condition: on a daemon a failed rebuild left the old snapshot serving, on
+// a fleet some shard has not caught up.
+var ErrStaleSnapshot = errors.New("snapshot stale after ingest")
+
+// FreshRank implements Backend over the local store: the snapshot must be
+// at least version, and Top scores the week's table and cuts the ranked
+// population at the predictor's budget. The table is shared with the HTTP
+// handlers, so when the API already ranked this (snapshot, week) Top is a
+// lookup.
+func (s *Server) FreshRank(week int, version uint64) (Ranking, error) {
+	sn := s.Store().Snapshot()
+	if sn == nil || sn.Version < version {
+		return Ranking{}, ErrStaleSnapshot
+	}
+	rk := Ranking{GridLines: sn.DS.NumLines, Snapshot: sn}
+	if len(sn.LinesAt(week)) > 0 {
+		rk.Top = func() ([]data.LineID, error) {
+			models := s.Models()
+			tab, err := sn.scoreTable(models, week)
+			if err != nil {
+				return nil, err
+			}
+			ranked := tab.rankedLines(sn)
+			return ranked[:min(models.Pred.Cfg.BudgetN, len(ranked))], nil
+		}
+	}
+	return rk, nil
+}
+
 // PipelineConfig drives the weekly serving loop.
 type PipelineConfig struct {
 	// Source feeds one simulated week per tick (the production stand-in for
@@ -144,7 +206,7 @@ type WeekReport struct {
 	Stats           atds.Stats
 }
 
-// Pipeline is the weekly loop of §3.2 run against the live store: every
+// Pipeline is the weekly loop of §3.2 run against a live backend: every
 // tick it pulls the next week of line tests from the source, ingests them,
 // ranks the population with the current model generation, submits the
 // budgeted TopN into the ATDS queue alongside the week's customer tickets,
@@ -152,21 +214,23 @@ type WeekReport struct {
 //
 // The loop is built to survive a misbehaving feed: transient pull and
 // ingest errors retry with bounded exponential backoff, a batch that fails
-// validation is discarded and the week re-pulled, and a stale snapshot
-// (failed rebuild) is retried until fresh — so a ranking never runs over
-// partial data. Only an error that persists through the whole attempt
-// budget, or one not marked transient, stops the loop; each week is
-// dispatched into ATDS exactly once.
+// validation is discarded and the week re-pulled, and a stale ranking state
+// (failed rebuild, lagging shard) is retried until fresh — so a ranking
+// never runs over partial data. Only an error that persists through the
+// whole attempt budget, or one not marked transient, stops the loop; each
+// week is dispatched into ATDS exactly once.
 type Pipeline struct {
-	srv       *Server
+	b         Backend
 	cfg       PipelineConfig
+	m         *pipelineMetrics
+	tracer    *obs.Tracer
 	total     atds.Stats
 	lastWeek  int // last week dispatched into ATDS (exactly-once guard)
 	haveWeeks bool
 }
 
-// NewPipeline binds a pipeline to a server.
-func NewPipeline(srv *Server, cfg PipelineConfig) (*Pipeline, error) {
+// NewPipeline binds a pipeline to a backend.
+func NewPipeline(b Backend, cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("serve: pipeline needs a source")
 	}
@@ -174,7 +238,11 @@ func NewPipeline(srv *Server, cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	return &Pipeline{srv: srv, cfg: cfg}, nil
+	p := &Pipeline{b: b, cfg: cfg, m: newPipelineMetrics(b.Registry())}
+	if t, ok := b.(interface{ Tracer() *obs.Tracer }); ok {
+		p.tracer = t.Tracer()
+	}
+	return p, nil
 }
 
 // Totals returns the outcome stats accumulated across all completed weeks.
@@ -206,10 +274,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	return nil
 }
 
-// errStaleSnapshot is the retryable "rebuild failed, still serving the old
-// version" condition the snapshot-refresh loop spins on.
-var errStaleSnapshot = errors.New("snapshot stale after ingest")
-
 // retry records a failed attempt, backs off, and reports whether the budget
 // still has room. attempt is the week's running attempt counter.
 func (p *Pipeline) retry(rep *WeekReport, op string, week int, attempt *int, cause error) bool {
@@ -219,8 +283,8 @@ func (p *Pipeline) retry(rep *WeekReport, op string, week int, attempt *int, cau
 	}
 	d := p.cfg.Retry.backoffFor(op, week, *attempt)
 	rep.Retries++
-	p.srv.m.pipelineRetries.Add(1)
-	p.srv.m.retriesByOp.With(op).Add(1)
+	p.m.pipelineRetries.Add(1)
+	p.m.retriesByOp.With(op).Add(1)
 	if p.cfg.OnRetry != nil {
 		p.cfg.OnRetry(RetryEvent{Week: week, Op: op, Attempt: *attempt, Err: cause, Backoff: d})
 	}
@@ -241,10 +305,9 @@ type stageSpan struct {
 
 // beginStage opens a span for one execution of a pipeline stage.
 func (p *Pipeline) beginStage(stage string, week int) *stageSpan {
-	m := p.srv.m
 	return &stageSpan{
-		span: m.tracer.Start(stage, week),
-		obsv: m.stageDur.With(stage).Observe,
+		span: p.tracer.Start(stage, week),
+		obsv: p.m.stageDur.With(stage).Observe,
 		t0:   time.Now(),
 	}
 }
@@ -263,14 +326,15 @@ func (ss *stageSpan) end() {
 func (p *Pipeline) Step() (ok bool, err error) {
 	var rep WeekReport
 	var batch sim.Batch
+	var ing IngestReply
 	attempt := 0
 
 	// Pull + ingest with a shared bounded attempt budget. Error classes:
 	//   - transient pull error: nothing was delivered; back off, re-pull.
-	//   - bad batch (ErrBadBatch): the store rejected the delivery whole;
+	//   - bad batch (ErrBadBatch): the backend rejected the delivery whole;
 	//     back off, re-pull — the feed re-serves the week.
 	//   - transient ingest error: the validated batch hit an injected or
-	//     real infrastructure fault before any state change; back off and
+	//     real infrastructure fault (a down shard, a shed); back off and
 	//     re-ingest the same batch (ingest is idempotent: test records
 	//     overwrite per (line, week), tickets dedup).
 	//   - anything else is terminal for the loop.
@@ -296,9 +360,11 @@ pull:
 			}
 			continue
 		}
+		tests, tickets := batchRecords(&batch)
 		for {
 			isp := p.beginStage("ingest", batch.Week)
-			ierr := p.ingest(&batch, &rep)
+			var ierr error
+			ing, ierr = p.b.Ingest(tests, tickets)
 			isp.span.Attempt(attempt + 1).Fail(ierr)
 			isp.end()
 			if ierr == nil {
@@ -322,33 +388,38 @@ pull:
 			}
 		}
 	}
-	p.srv.m.ingestedTests.Add(int64(rep.IngestedTests))
-	p.srv.m.ingestedTickets.Add(int64(rep.IngestedTickets))
+	rep.IngestedTests, rep.IngestedTickets = ing.IngestedTests, ing.IngestedTickets
 
-	// The ranking must see this week's data: a snapshot older than the
-	// store version after our ingest means a rebuild failed (the API keeps
-	// serving the stale one; the pipeline retries until fresh).
-	wantVersion := p.srv.Store().Version()
-	var sn *Snapshot
+	// The ranking must see this week's data: state older than the version
+	// our ingest produced means a rebuild failed or a shard lags (the API
+	// keeps serving the stale state; the pipeline retries until fresh).
+	var rk Ranking
 	for {
 		ssp := p.beginStage("snapshot", batch.Week)
-		sn = p.srv.Store().Snapshot()
-		if sn != nil && sn.Version >= wantVersion {
+		var rerr error
+		rk, rerr = p.b.FreshRank(batch.Week, ing.Version)
+		if rerr == nil {
 			ssp.end()
 			break
 		}
-		// Degraded: the rebuild failed and the store is still serving the
-		// pre-ingest snapshot; this attempt ran against stale state.
-		ssp.span.Attempt(attempt + 1).Fail(errStaleSnapshot).Degraded()
+		stale := errors.Is(rerr, ErrStaleSnapshot)
+		ssp.span.Attempt(attempt + 1).Fail(rerr)
+		if stale {
+			// Degraded: this attempt ran against stale state.
+			ssp.span.Degraded()
+		}
 		ssp.end()
-		if !p.retry(&rep, "snapshot", batch.Week, &attempt, errStaleSnapshot) {
+		if !stale && !IsTransient(rerr) {
+			return false, fmt.Errorf("serve: pipeline week %d rank: %w", batch.Week, rerr)
+		}
+		if !p.retry(&rep, "snapshot", batch.Week, &attempt, rerr) {
 			return false, fmt.Errorf("serve: pipeline week %d: %w after %d attempts",
-				batch.Week, errStaleSnapshot, attempt)
+				batch.Week, rerr, attempt)
 		}
 	}
 
 	if p.cfg.Queue == nil {
-		q, err := atds.NewQueue(atds.DefaultConfig(sn.DS.NumLines), data.SaturdayOf(batch.Week))
+		q, err := atds.NewQueue(atds.DefaultConfig(rk.GridLines), data.SaturdayOf(batch.Week))
 		if err != nil {
 			return false, err
 		}
@@ -362,29 +433,20 @@ pull:
 		return true, nil
 	}
 
-	// Saturday ranking run: budgeted TopN into the dispatch queue. The
-	// week's score table is shared with the HTTP handlers — when the API
-	// already ranked this (snapshot, week), the pipeline's run is a lookup.
-	models := p.srv.Models()
-	lines := sn.LinesAt(batch.Week)
-	if len(lines) > 0 {
+	// Saturday ranking run: budgeted TopN into the dispatch queue.
+	if rk.Top != nil {
 		scsp := p.beginStage("score", batch.Week)
-		tab, err := sn.scoreTable(models, batch.Week)
+		top, err := rk.Top()
 		scsp.span.Fail(err)
 		scsp.end()
 		if err != nil {
 			return false, fmt.Errorf("serve: pipeline week %d rank: %w", batch.Week, err)
 		}
 		rksp := p.beginStage("rank", batch.Week)
-		ranked := tab.rankedLines(sn)
-		n := models.Pred.Cfg.BudgetN
-		if n > len(ranked) {
-			n = len(ranked)
-		}
-		for rank, l := range ranked[:n] {
+		for rank, l := range top {
 			p.cfg.Queue.Submit(l, atds.PriorityPredicted, rank)
 		}
-		rep.Submitted = n
+		rep.Submitted = len(top)
 		rksp.end()
 	}
 	// The week's customer tickets contend for the same capacity and always
@@ -410,15 +472,15 @@ pull:
 	p.total.Add(rep.Stats)
 	dsp.end()
 
-	m := p.srv.m
+	m := p.m
 	m.pipelineTicks.Add(1)
 	m.pipelineWeek.Set(int64(batch.Week))
 	m.pipelineSubmitted.Add(int64(rep.Submitted))
 	m.pipelineWorked.Add(int64(rep.Stats.Predicted))
 	m.pipelineExpired.Add(int64(rep.Stats.ExpiredPredicted))
 
-	if p.cfg.OnSnapshot != nil {
-		p.cfg.OnSnapshot(sn, batch.Week)
+	if p.cfg.OnSnapshot != nil && rk.Snapshot != nil {
+		p.cfg.OnSnapshot(rk.Snapshot, batch.Week)
 	}
 	if p.cfg.OnWeek != nil {
 		p.cfg.OnWeek(rep)
@@ -426,10 +488,8 @@ pull:
 	return true, nil
 }
 
-// ingest applies one delivered batch through the same store path the HTTP
-// API uses. On any error the store is unchanged (validation rejects whole
-// batches; injected faults fire before mutation), so the caller may retry.
-func (p *Pipeline) ingest(batch *sim.Batch, rep *WeekReport) error {
+// batchRecords maps one delivered batch onto the ingest wire records.
+func batchRecords(batch *sim.Batch) ([]TestRecord, []TicketRecord) {
 	tests := make([]TestRecord, len(batch.Tests))
 	for i, t := range batch.Tests {
 		tests[i] = TestRecord{
@@ -441,14 +501,7 @@ func (p *Pipeline) ingest(batch *sim.Batch, rep *WeekReport) error {
 	for i, t := range batch.Tickets {
 		tickets[i] = TicketRecord{ID: t.ID, Line: t.Line, Day: t.Day, Category: uint8(t.Category)}
 	}
-	var err error
-	if rep.IngestedTests, err = p.srv.Store().IngestTests(tests); err != nil {
-		return err
-	}
-	if rep.IngestedTickets, err = p.srv.Store().IngestTickets(tickets); err != nil {
-		return err
-	}
-	return nil
+	return tests, tickets
 }
 
 // rankOrder returns prediction indices best-first (score desc, line asc) —

@@ -402,25 +402,40 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st := s.Store()
-	nt, err := st.IngestTests(req.Tests)
+	rep, err := s.Ingest(req.Tests, req.Tickets)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	nk, err := st.IngestTickets(req.Tickets)
+	writeJSON(w, http.StatusOK, &rep)
+}
+
+// IngestReply is /v1/ingest's response body. Fields are in key order, so
+// it encodes exactly as the sorted map it replaced.
+type IngestReply struct {
+	IngestedTests   int    `json:"ingested_tests"`
+	IngestedTickets int    `json:"ingested_tickets"`
+	Lines           int    `json:"lines"`
+	Version         uint64 `json:"version"`
+}
+
+// Ingest applies one batch to the store: the write path /v1/ingest and the
+// weekly pipeline share. A failed ingest may be retried: validation rejects
+// whole batches, injected faults fire before mutation, and a re-ingest is
+// idempotent (test records overwrite per (line, week), tickets dedup).
+func (s *Server) Ingest(tests []TestRecord, tickets []TicketRecord) (IngestReply, error) {
+	st := s.Store()
+	nt, err := st.IngestTests(tests)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return IngestReply{}, err
+	}
+	nk, err := st.IngestTickets(tickets)
+	if err != nil {
+		return IngestReply{}, err
 	}
 	s.m.ingestedTests.Add(int64(nt))
 	s.m.ingestedTickets.Add(int64(nk))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ingested_tests":   nt,
-		"ingested_tickets": nk,
-		"lines":            st.NumLines(),
-		"version":          st.Version(),
-	})
+	return IngestReply{IngestedTests: nt, IngestedTickets: nk, Lines: st.NumLines(), Version: st.Version()}, nil
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,10 @@
 # regression worth failing a build for. The alloc axis additionally
 # tolerates two allocs/op of absolute slack so the gate tracks the serving
 # path's zero-alloc contract without flaking.
+# The run pins -cpu 1, the condition BENCH_ml.json was recorded under: on a
+# multi-CPU host go test would otherwise name every benchmark with a
+# -GOMAXPROCS suffix, no name would match the baseline, and the gate would
+# compare nothing.
 # Used by `make bench-diff` (part of `make check`). Override the margin with
 # BENCH_DIFF_THRESHOLD and the repeat count with BENCH_DIFF_COUNT.
 set -euo pipefail
@@ -23,7 +27,7 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 echo "bench-diff: running benchmarks matching '$MATCH' (best of ${BENCH_DIFF_COUNT:-3})..."
-"$GO" test -run '^$' -bench "$MATCH" -benchmem -count "${BENCH_DIFF_COUNT:-3}" . 2>&1 \
+"$GO" test -run '^$' -cpu 1 -bench "$MATCH" -benchmem -count "${BENCH_DIFF_COUNT:-3}" . 2>&1 \
 	| tee "$WORK/bench.txt" \
 	| "$GO" run ./cmd/benchjson > "$WORK/new.json"
 

@@ -4,6 +4,7 @@
 # the reference, ingest the same batch into both sides over HTTP, and
 # require the gateway's /v1/rank to equal the single node's modulo the
 # version field (the fleet version is the sum of per-shard ingest clocks).
+# A second gateway then runs the weekly pipeline over the same shards.
 # Used by `make fleet-smoke` (part of `make check`); needs curl and Go.
 set -euo pipefail
 
@@ -159,6 +160,34 @@ for log in shard-0 shard-1; do
     [[ "$LINES" -lt 32 ]] || fail "$log holds all $LINES lines; ownership filter is off"
     echo "fleet-smoke: $log owns $LINES of 32 lines"
 done
+
+# The weekly loop through a gateway: a second gateway over the same shards
+# runs -pipeline for three simulated weeks of the population the shards were
+# trained on (same -lines/-seed), and must complete each week and the run.
+"$WORK/nevermindgw" -addr 127.0.0.1:0 \
+    -shard "shard-0=http://$S0" -shard "shard-1=http://$S1" \
+    -pipeline -lines 1200 -seed 7 -start-week 40 -end-week 42 \
+    >"$WORK/gateway-pipeline.log" 2>&1 &
+PL_PID=$!
+PIDS+=("$PL_PID")
+DEADLINE=$((SECONDS + 120))
+until grep -q 'nevermindgw: pipeline done' "$WORK/gateway-pipeline.log"; do
+    grep -q 'nevermindgw: pipeline:' "$WORK/gateway-pipeline.log" && fail "gateway pipeline failed"
+    kill -0 "$PL_PID" 2>/dev/null || fail "pipeline gateway exited early"
+    [[ "$SECONDS" -lt "$DEADLINE" ]] || fail "gateway pipeline did not finish within 120s"
+    sleep 0.2
+done
+for week in 40 41 42; do
+    grep -q "^nevermindgw: week $week: " "$WORK/gateway-pipeline.log" \
+        || fail "gateway pipeline logged no report for week $week"
+done
+PL_GW="$(sed -n 's/^nevermindgw: listening on \([^ ]*\).*/\1/p' "$WORK/gateway-pipeline.log" | head -n 1)"
+PL_METRICS="$(curl -fsS "http://$PL_GW/metrics")" || fail "pipeline gateway /metrics errored"
+grep -q '^nevermind_pipeline_ticks_total 3$' <<<"$PL_METRICS" \
+    || fail "pipeline gateway /metrics does not count 3 pipeline ticks"
+echo "fleet-smoke: gateway pipeline ran weeks 40-42"
+kill -TERM "$PL_PID"
+wait "$PL_PID" || fail "pipeline gateway exited non-zero"
 
 # Clean drain: gateway first, then the daemons.
 kill -TERM "$GW_PID"
